@@ -173,40 +173,30 @@ pub fn search_target_critical_point_with(
     rng: &mut Prng,
 ) -> Option<CriticalPoint> {
     let p = g.input_size();
+    let n = cfg.line_samples;
+    let t_at = |i: usize| -cfg.line_extent + 2.0 * cfg.line_extent * i as f64 / (n - 1) as f64;
+    // Line-scan and bisection points are written into buffers allocated
+    // once per search.
+    let mut pts = Tensor::zeros([n, p]);
+    let mut pt = Tensor::zeros([p]);
     for _ in 0..cfg.max_lines {
         let anchor = rng.normal_tensor([p]).scale(cfg.input_scale);
         let dir = rng.unit_vector(p);
         // Batched scan of the line.
-        let n = cfg.line_samples;
-        let mut pts = Vec::with_capacity(n * p);
-        let mut ts = Vec::with_capacity(n);
-        for i in 0..n {
-            let t = -cfg.line_extent + 2.0 * cfg.line_extent * i as f64 / (n - 1) as f64;
-            ts.push(t);
-            for d in 0..p {
-                pts.push(anchor.as_slice()[d] + t * dir.as_slice()[d]);
+        for (i, row) in pts.as_mut_slice().chunks_exact_mut(p).enumerate() {
+            let t = t_at(i);
+            for ((x, &a), &d) in row.iter_mut().zip(anchor.as_slice()).zip(dir.as_slice()) {
+                *x = a + t * d;
             }
         }
-        let zs = z_batch(
-            g,
-            ws,
-            keys,
-            pre_node,
-            target,
-            &Tensor::from_vec(pts, [n, p]),
-        );
+        let zs = z_batch(g, ws, keys, pre_node, target, &pts);
         // Find the first adjacent strict sign change.
         let Some(seg) = (0..n - 1).find(|&i| zs[i] * zs[i + 1] < 0.0) else {
             continue;
         };
         // Bisection.
-        let (mut lo, mut hi) = (ts[seg], ts[seg + 1]);
-        let (mut zlo, mut zhi) = (zs[seg], zs[seg + 1]);
-        let at = |t: f64| -> Tensor {
-            let mut x = anchor.clone();
-            x.axpy(t, &dir);
-            x
-        };
+        let (mut lo, mut hi) = (t_at(seg), t_at(seg + 1));
+        let mut zlo = zs[seg];
         // The witness must land within a small fraction of the kink-probe
         // step of the true hyperplane, or downstream second-difference
         // probes would straddle the wrong segment.
@@ -215,19 +205,18 @@ pub fn search_target_critical_point_with(
         let mut zmid = 0.0;
         for _ in 0..cfg.bisect_iters {
             mid = 0.5 * (lo + hi);
-            zmid = target_at(g, ws, keys, pre_node, target, &at(mid));
+            pt.axpy_into(mid, &dir, &anchor);
+            zmid = target_at(g, ws, keys, pre_node, target, &pt);
             if zmid.abs() <= cfg.bisect_tol && (hi - lo) <= bracket_goal {
                 break;
             }
             if zmid * zlo < 0.0 {
                 hi = mid;
-                zhi = zmid;
             } else {
                 lo = mid;
                 zlo = zmid;
             }
         }
-        let _ = zhi;
         if hi - lo > bracket_goal {
             continue;
         }
@@ -235,8 +224,10 @@ pub fn search_target_critical_point_with(
         // violently and downstream tolerances would be unreliable.
         let scale = zs.iter().fold(1.0f64, |m, z| m.max(z.abs()));
         if zmid.abs() <= 1e-7 * scale {
+            let mut x = Tensor::zeros([p]);
+            x.axpy_into(mid, &dir, &anchor);
             return Some(CriticalPoint {
-                x: at(mid),
+                x,
                 z: zmid,
                 crossing_dir: dir,
             });

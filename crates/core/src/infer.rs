@@ -11,7 +11,6 @@ use crate::config::AttackConfig;
 use crate::critical::{search_critical_point_with, z_at};
 use relock_graph::{Graph, KeyAssignment, KeySlot, LockSite, NodeId, Op, Saved, Workspace};
 use relock_locking::Oracle;
-use relock_tensor::linalg::preimage;
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
 
@@ -72,7 +71,9 @@ pub fn key_bit_inference(
 
 /// [`key_bit_inference`] through a caller-owned workspace: the critical-point
 /// search, the Jacobian, and every region/pre-activation probe of one site
-/// share the same buffers. The decryptor hands each recovery worker one
+/// share the same buffers, and the workspace's QR memo
+/// ([`Workspace::qr_memo`]) lets a site whose `Â` is bit-equal to the last
+/// one factored — every first-layer site sees `W₁` — skip the factorization. The decryptor hands each recovery worker one
 /// pooled workspace for all the sites it pulls; a site reads shared state
 /// (`g`, `keys`, the oracle) and mutates only its own `ws` and `rng`, so
 /// sites of one layer run concurrently without synchronizing — each site's
@@ -109,7 +110,7 @@ pub fn key_bit_inference_with(
         g.forward_partial_into(ws, &cp.x, keys, pre_node);
         let jac = g.input_jacobian_into(ws, pre_node, keys);
         let e = Tensor::basis(d_i, elem);
-        let Some(pre) = preimage(&jac, &e, cfg.preimage_tol) else {
+        let Some(pre) = ws.qr_memo().preimage(&jac, &e, cfg.preimage_tol) else {
             // No pre-image in this region; a different region might still
             // work (different masks), so retry with a fresh witness.
             continue;
@@ -119,7 +120,10 @@ pub fn key_bit_inference_with(
             // Ablation A2: add a null-space component. The perturbed v
             // still satisfies Âv = e but is no longer minimum-norm.
             let w = rng.normal_tensor([p]).scale(v.norm().max(1.0));
-            if let Some(back) = preimage(&jac, &jac.matvec(&w), cfg.preimage_tol) {
+            if let Some(back) = ws
+                .qr_memo()
+                .preimage(&jac, &jac.matvec(&w), cfg.preimage_tol)
+            {
                 let mut null = w;
                 null.axpy(-1.0, &back.v);
                 v.axpy(cfg.preimage_perturbation, &null);

@@ -122,6 +122,10 @@ pub fn learning_attack(
     // effective weights survive the whole training loop.
     let mut ws = Workspace::new();
     ws.set_precision(cfg.precision);
+    // The layers below the first free slot see the same rows every epoch:
+    // evaluate them once, in mini-batch-sized chunks, and start every
+    // mini-batch from the cached rows. The cache replaces `x`.
+    let prefix = g.frozen_prefix(&mut ws, x, &ka, free_slots, cfg.batch);
 
     let mut best_loss = f64::INFINITY;
     let mut stale_epochs = 0usize;
@@ -133,16 +137,13 @@ pub fn learning_attack(
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch) {
             // Gather the mini-batch.
-            let mut xb = Vec::with_capacity(chunk.len() * p);
             let mut yb = Vec::with_capacity(chunk.len() * q);
             for &i in chunk {
-                xb.extend_from_slice(x.row(i));
                 yb.extend_from_slice(y.row(i));
             }
-            let xb = Tensor::from_vec(xb, [chunk.len(), p]);
             let yb = Tensor::from_vec(yb, [chunk.len(), q]);
 
-            g.forward_into(&mut ws, &xb, &ka);
+            g.forward_prefixed_into(&mut ws, &prefix, chunk, &ka);
             let logits = ws.value(g.output_id());
             let (diff, grad_out) = if oracle_is_softmax {
                 let probs = softmax_rows(logits);

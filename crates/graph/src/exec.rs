@@ -19,8 +19,23 @@ use crate::graph::{Graph, NodeId};
 use crate::key::KeyAssignment;
 use crate::op::{Op, Saved};
 use crate::plan::{EffWeight, EffWeight32, Workspace};
+use crate::prefix::FrozenPrefix;
 use relock_tensor::compute::{gemm_nn_f32_into, gemm_nt_f32_into, gemm_tn_f32_into};
 use relock_tensor::{Precision, Tensor};
+
+/// Where a planned forward pass takes its starting rows from, and so
+/// which nodes it computes.
+#[derive(Clone, Copy)]
+pub(crate) enum Source<'a> {
+    /// Graph input rows; with a target, only the target's ancestors run.
+    Input(&'a [f64], Option<NodeId>),
+    /// Graph input rows; only the prefix's frozen nodes up to the given
+    /// node index run (filling a [`FrozenPrefix`]).
+    Fill(&'a [f64], &'a FrozenPrefix, usize),
+    /// The given cached rows of a prefix: frontier nodes are copied in,
+    /// the frozen nodes below them skipped, every other node computed.
+    Prefix(&'a FrozenPrefix, &'a [usize]),
+}
 
 /// All per-node values and saved contexts from one forward pass.
 #[derive(Debug, Clone)]
@@ -207,7 +222,8 @@ impl Graph {
     ///
     /// Panics if the input width does not match the graph.
     pub fn forward_into(&self, ws: &mut Workspace, x: &Tensor, keys: &KeyAssignment) {
-        self.run_planned(ws, x, keys, None)
+        let batch = self.input_batch(x);
+        self.run_planned(ws, Source::Input(x.as_slice(), None), batch, keys)
     }
 
     /// Planned forward pass computing **only the ancestors of `target`**
@@ -227,16 +243,12 @@ impl Graph {
         keys: &KeyAssignment,
         target: NodeId,
     ) {
-        self.run_planned(ws, x, keys, Some(target))
+        let batch = self.input_batch(x);
+        self.run_planned(ws, Source::Input(x.as_slice(), Some(target)), batch, keys)
     }
 
-    fn run_planned(
-        &self,
-        ws: &mut Workspace,
-        x: &Tensor,
-        keys: &KeyAssignment,
-        target: Option<NodeId>,
-    ) {
+    /// Batch size of a rank-1 (one sample) or rank-2 graph input.
+    fn input_batch(&self, x: &Tensor) -> usize {
         let (batch, width) = if x.rank() == 1 {
             (1, x.numel())
         } else {
@@ -250,17 +262,35 @@ impl Graph {
             width,
             self.input_size()
         );
+        batch
+    }
+
+    /// The one planned forward loop. `src` decides, node by node, whether
+    /// the pass computes the node, copies it in from input or cached rows,
+    /// or skips it.
+    pub(crate) fn run_planned(
+        &self,
+        ws: &mut Workspace,
+        src: Source<'_>,
+        batch: usize,
+        keys: &KeyAssignment,
+    ) {
         let plan = self.plan();
         let n = self.nodes.len();
         ws.ensure(n);
         ws.batch = batch;
         ws.passes += 1;
-        let limit = target.map_or(n - 1, |t| t.index());
+        let limit = match src {
+            Source::Input(_, Some(t)) => t.index(),
+            Source::Fill(_, _, last) => last,
+            Source::Input(_, None) | Source::Prefix(..) => n - 1,
+        };
         let weights_gen = self.weights_gen;
         let Workspace {
             values,
             saved,
             live,
+            seeded,
             eff_weights,
             precision,
             eff_weights32,
@@ -268,26 +298,40 @@ impl Graph {
             out32,
             ..
         } = &mut *ws;
-        for flag in live.iter_mut() {
-            *flag = false;
-        }
+        live.fill(false);
+        seeded.fill(false);
         for idx in 0..=limit {
-            if let Some(t) = target {
-                if !plan.is_ancestor(NodeId(idx), t) {
-                    continue;
-                }
-            }
             let node = &self.nodes[idx];
             // Node inputs precede the node in topological order, so the
             // output buffer and the input buffers never alias.
             let (done, rest) = values.split_at_mut(idx);
             let out = &mut rest[0];
-            if matches!(node.op, Op::Input { .. }) {
-                out.reset_shape([batch, width]);
-                out.as_mut_slice().copy_from_slice(x.as_slice());
-                saved[idx] = Saved::None;
-                live[idx] = true;
-                continue;
+            match src {
+                Source::Input(_, Some(t)) if !plan.is_ancestor(NodeId(idx), t) => continue,
+                Source::Fill(_, prefix, _) if !prefix.is_frozen(idx) => continue,
+                Source::Prefix(prefix, rows) if prefix.is_frozen(idx) => {
+                    if let Some(off) = prefix.offset_of(idx) {
+                        let w = node.out_size;
+                        out.reset_shape([batch, w]);
+                        for (dst, &r) in out.as_mut_slice().chunks_exact_mut(w).zip(rows) {
+                            dst.copy_from_slice(&prefix.row(r)[off..off + w]);
+                        }
+                        saved[idx] = Saved::None;
+                        live[idx] = true;
+                        seeded[idx] = true;
+                    }
+                    continue;
+                }
+                Source::Input(x, _) | Source::Fill(x, ..)
+                    if matches!(node.op, Op::Input { .. }) =>
+                {
+                    out.reset_shape([batch, node.out_size]);
+                    out.as_mut_slice().copy_from_slice(x);
+                    saved[idx] = Saved::None;
+                    live[idx] = true;
+                    continue;
+                }
+                _ => {}
             }
             // f32 fast path: the Linear product runs through the f32 gemm
             // kernels on f32 copies of the activations and the effective
@@ -575,6 +619,10 @@ impl Graph {
     /// weight-gradient matrices are never formed — the §3.6 learning attack
     /// reads nothing else. Key gradients are bit-identical either way.
     ///
+    /// After [`Graph::forward_prefixed_into`] the pass stops at the
+    /// prefix's frontier nodes, which hold no free key slot at or below
+    /// them: free-slot gradients match the full pass bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if the workspace's latest pass did not compute the output
@@ -597,6 +645,7 @@ impl Graph {
         let Workspace {
             values,
             saved,
+            seeded,
             grad_buf,
             precision,
             eff_weights32,
@@ -630,7 +679,7 @@ impl Graph {
                 }
             };
             let node = &self.nodes[idx];
-            if matches!(node.op, Op::Input { .. }) {
+            if matches!(node.op, Op::Input { .. }) || seeded[idx] {
                 continue;
             }
             // In keys-only mode a node with no key-dependent ancestor feeds

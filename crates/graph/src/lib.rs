@@ -59,6 +59,7 @@ mod key;
 mod op;
 mod plan;
 mod pool;
+mod prefix;
 mod serial;
 
 pub use exec::{Activations, Gradients};
@@ -67,5 +68,6 @@ pub use key::{KeyAssignment, KeySlot, UnitLayout};
 pub use op::{Op, Saved, TriggerKind, WeightLock};
 pub use plan::{ExecPlan, Workspace};
 pub use pool::{PooledWorkspace, WorkspacePool};
+pub use prefix::FrozenPrefix;
 pub use relock_tensor::Precision;
 pub use serial::SerialError;

@@ -24,6 +24,7 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::op::Saved;
+use relock_tensor::linalg::QrMemo;
 use relock_tensor::{Precision, Tensor};
 
 /// Per-graph execution analysis, computed once and cached on the graph
@@ -184,6 +185,10 @@ pub struct Workspace {
     /// Whether the latest pass computed each node (partial passes skip
     /// non-ancestors, leaving stale buffers behind the flag).
     pub(crate) live: Vec<bool>,
+    /// Whether the latest pass copied each node in from a
+    /// [`FrozenPrefix`](crate::FrozenPrefix) instead of computing it; the
+    /// keys-only reverse pass stops at such nodes.
+    pub(crate) seeded: Vec<bool>,
     /// Batch size of the latest pass.
     pub(crate) batch: usize,
     /// Effective-weight cache for locked `Linear` nodes.
@@ -207,6 +212,9 @@ pub struct Workspace {
     pub(crate) out32: Vec<f32>,
     /// f32 scratch: backward weight-gradient outputs.
     pub(crate) w32: Vec<f32>,
+    /// The last input Jacobian factored for a pre-image solve. Cleared
+    /// when the workspace goes back to its pool.
+    pub(crate) qr: QrMemo,
 }
 
 impl Workspace {
@@ -221,6 +229,7 @@ impl Workspace {
             self.values.resize_with(n, || Tensor::zeros([0]));
             self.saved.resize_with(n, || Saved::None);
             self.live.resize(n, false);
+            self.seeded.resize(n, false);
             self.eff_weights.resize_with(n, || None);
             self.grad_buf.resize_with(n, || None);
             self.eff_weights32.resize_with(n, || None);
@@ -316,6 +325,14 @@ impl Workspace {
     /// Whether the latest pass computed `id`.
     pub fn is_live(&self, id: NodeId) -> bool {
         self.live.get(id.index()).copied().unwrap_or(false)
+    }
+
+    /// The workspace's one-entry QR memo: pre-image solves against an
+    /// input Jacobian bit-equal to the previous one reuse its
+    /// factorization (see [`QrMemo`]). A pooled workspace starts every
+    /// checkout with an empty memo.
+    pub fn qr_memo(&mut self) -> &mut QrMemo {
+        &mut self.qr
     }
 
     /// Forward passes this workspace has served. Every pass after the first

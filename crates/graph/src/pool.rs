@@ -61,8 +61,16 @@ impl WorkspacePool {
         self.idle.lock().expect("workspace pool poisoned").len()
     }
 
-    fn release(&self, ws: Workspace) {
-        self.idle.lock().expect("workspace pool poisoned").push(ws);
+    fn release(&self, mut ws: Workspace) {
+        // The QR memo serves one checkout (one phase of one worker); a
+        // parked workspace holds no factorization.
+        ws.qr.clear();
+        let mut idle = self.idle.lock().expect("workspace pool poisoned");
+        // Grow the stash one slot at a time: it holds workspaces inline and
+        // never more than the peak number of concurrent workers, so the
+        // default growth would park empty slots worth whole workspaces.
+        idle.reserve_exact(1);
+        idle.push(ws);
     }
 }
 

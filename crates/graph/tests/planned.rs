@@ -367,6 +367,41 @@ fn planned_backward_bitwise_and_keys_only_mode() {
     }
 }
 
+/// With every slot of the zoo free, the frozen prefix is as shallow as it
+/// gets — the input alone on the weight-locked MLP — and a pass seeded from
+/// it must still match the full pass bit for bit, in shared workspaces.
+#[test]
+fn prefix_seeded_passes_match_full_passes_with_every_slot_free() {
+    let mut rng = Prng::seed_from_u64(107);
+    let (mut ws_full, mut ws_prefix) = (Workspace::new(), Workspace::new());
+    for g in zoo(&mut rng) {
+        let n = g.key_slot_count();
+        let free: Vec<KeySlot> = (0..n).map(KeySlot).collect();
+        let keys = KeyAssignment::from_values((0..n).map(|_| rng.uniform_in(-1.0, 1.0)).collect());
+        let x = rng.normal_tensor([9, g.input_size()]);
+        let prefix = g.frozen_prefix(&mut ws_prefix, x.clone(), &keys, &free, 4);
+        let rows = [8usize, 0, 3, 3, 5, 1, 7];
+        let xb = Tensor::from_rows(&rows.map(|r| x.row(r)));
+        g.forward_into(&mut ws_full, &xb, &keys);
+        g.forward_prefixed_into(&mut ws_prefix, &prefix, &rows, &keys);
+        let (full, seeded) = (ws_full.value(g.output_id()), ws_prefix.value(g.output_id()));
+        assert!(bits_eq(full, seeded), "logits");
+        let seed = rng.normal_tensor(full.dims().to_vec());
+        let full = g.backward_into(&mut ws_full, &seed, &keys, false);
+        let seeded = g.backward_into(&mut ws_prefix, &seed, &keys, false);
+        for (slot, (a, b)) in full.keys.iter().zip(&seeded.keys).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "key grad {slot}");
+        }
+    }
+    // The weight-locked first layer leaves only the input frozen.
+    let g = odd_mlp(&mut rng);
+    let free: Vec<KeySlot> = (0..g.key_slot_count()).map(KeySlot).collect();
+    let keys = KeyAssignment::all_zero_bits(g.key_slot_count());
+    let x = rng.normal_tensor([3, g.input_size()]);
+    let prefix = g.frozen_prefix(&mut ws_prefix, x, &keys, &free, 2);
+    assert_eq!(prefix.frontier().collect::<Vec<_>>(), vec![g.input_id()]);
+}
+
 #[test]
 fn planned_jacobian_bitwise_on_every_target() {
     let mut rng = Prng::seed_from_u64(104);

@@ -272,15 +272,31 @@ pub struct Preimage {
 ///
 /// Panics if `a` is not a matrix or `b.numel() != a.nrows()`.
 pub fn preimage(a: &Tensor, b: &Tensor, tol: f64) -> Option<Preimage> {
-    assert!(a.shape().is_matrix(), "preimage requires a matrix");
-    let (m, n) = (a.dims()[0], a.dims()[1]);
-    assert_eq!(b.numel(), m, "rhs length mismatch");
+    check_preimage_args(a, b);
+    solve_factored(a, &factor_for_preimage(a), b, tol)
+}
 
-    let v = if m <= n {
-        let qr = QrFactors::compute(&a.transpose());
+fn check_preimage_args(a: &Tensor, b: &Tensor) {
+    assert!(a.shape().is_matrix(), "preimage requires a matrix");
+    assert_eq!(b.numel(), a.dims()[0], "rhs length mismatch");
+}
+
+/// The factorization [`preimage`] solves with: of `aᵀ` when `a` is wide
+/// (minimum-norm solve), of `a` itself otherwise (least squares).
+fn factor_for_preimage(a: &Tensor) -> QrFactors {
+    if a.dims()[0] <= a.dims()[1] {
+        QrFactors::compute(&a.transpose())
+    } else {
+        QrFactors::compute(a)
+    }
+}
+
+/// Solves `a v = b` with `qr` = [`factor_for_preimage`]`(a)` and verifies
+/// the residual.
+fn solve_factored(a: &Tensor, qr: &QrFactors, b: &Tensor, tol: f64) -> Option<Preimage> {
+    let v = if a.dims()[0] <= a.dims()[1] {
         qr.solve_min_norm_from_transpose(b)
     } else {
-        let qr = QrFactors::compute(a);
         qr.solve_least_squares(b)
     };
     let achieved = a.matvec(&v);
@@ -290,6 +306,60 @@ pub fn preimage(a: &Tensor, b: &Tensor, tol: f64) -> Option<Preimage> {
     } else {
         None
     }
+}
+
+/// A one-entry memo of the factorization behind [`preimage`].
+///
+/// Algorithm 1 solves against the same `Â` again and again: every site of
+/// a first layer sees the layer's weight matrix, and ablation A2 solves
+/// twice per witness. The memo keeps a copy of the last matrix it factored
+/// and reuses the factors while the next matrix is **bitwise** equal to it
+/// (same shape, same `f64` bit patterns — never a hash or a tolerance), so
+/// [`QrMemo::preimage`] returns exactly the bits a fresh [`preimage`]
+/// would. Any other matrix replaces the entry.
+#[derive(Debug, Clone, Default)]
+pub struct QrMemo {
+    entry: Option<Box<(Tensor, QrFactors)>>,
+}
+
+impl QrMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        QrMemo::default()
+    }
+
+    /// [`preimage`] through the memo: factors `a` only when it differs
+    /// from the matrix the memo holds, which it then replaces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not a matrix or `b.numel() != a.nrows()`.
+    pub fn preimage(&mut self, a: &Tensor, b: &Tensor, tol: f64) -> Option<Preimage> {
+        check_preimage_args(a, b);
+        if !self.holds(a) {
+            self.entry = Some(Box::new((a.clone(), factor_for_preimage(a))));
+        }
+        let (_, qr) = self.entry.as_deref().expect("just filled");
+        solve_factored(a, qr, b, tol)
+    }
+
+    /// Whether the memo holds the factors of a matrix bitwise equal to `a`.
+    pub fn holds(&self, a: &Tensor) -> bool {
+        matches!(self.entry.as_deref(), Some((held, _)) if bitwise_eq(held, a))
+    }
+
+    /// Drops the held matrix and its factors.
+    pub fn clear(&mut self) {
+        self.entry = None;
+    }
+}
+
+fn bitwise_eq(x: &Tensor, y: &Tensor) -> bool {
+    x.dims() == y.dims()
+        && x.as_slice()
+            .iter()
+            .zip(y.as_slice())
+            .all(|(p, q)| p.to_bits() == q.to_bits())
 }
 
 /// Solves the square linear system `a x = b` via QR.

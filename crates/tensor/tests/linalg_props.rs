@@ -2,7 +2,7 @@
 //! (randomized with the in-tree `Prng`; no external test dependencies).
 
 use relock_tensor::im2col::{col2im, im2col, ConvGeometry};
-use relock_tensor::linalg::{preimage, QrFactors};
+use relock_tensor::linalg::{preimage, Preimage, QrFactors, QrMemo};
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
 
@@ -139,4 +139,83 @@ fn softmax_is_probability() {
         assert!((s.sum() - 1.0).abs() < 1e-9, "seed {seed}");
         assert!(s.as_slice().iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
+}
+
+fn same_bits(a: &Option<Preimage>, b: &Option<Preimage>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => {
+            a.residual.to_bits() == b.residual.to_bits()
+                && a.v.dims() == b.v.dims()
+                && a.v
+                    .as_slice()
+                    .iter()
+                    .zip(b.v.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits())
+        }
+        _ => false,
+    }
+}
+
+/// A memo hit returns exactly the bits of a fresh `preimage`, for wide,
+/// square, tall and rank-deficient matrices and any right-hand side.
+#[test]
+fn qr_memo_hits_are_bit_identical_to_fresh_preimages() {
+    for seed in 0..CASES {
+        let mut rng = Prng::seed_from_u64(seed);
+        let m = 1 + (seed as usize) % 6;
+        let n = 1 + (seed as usize / 6) % 8;
+        let mut a = rng.normal_tensor([m, n]);
+        if seed % 5 == 0 {
+            // Zero a row: the mask of an inactive neuron.
+            a.row_mut(0).fill(0.0);
+        }
+        let mut memo = QrMemo::new();
+        for j in 0..m + 2 {
+            let b = if j < m {
+                Tensor::basis(m, j)
+            } else {
+                rng.normal_tensor([m])
+            };
+            let memoized = memo.preimage(&a, &b, 1e-8);
+            assert!(memo.holds(&a), "seed {seed}");
+            assert!(
+                same_bits(&memoized, &preimage(&a, &b, 1e-8)),
+                "seed {seed} rhs {j}"
+            );
+        }
+    }
+}
+
+/// A one-ulp change to any single entry is a different matrix: the memo
+/// factors it afresh, and then holds it alone.
+#[test]
+fn qr_memo_misses_on_a_one_ulp_change_and_holds_one_entry() {
+    let mut rng = Prng::seed_from_u64(77);
+    let a = rng.normal_tensor([4, 7]);
+    let e = Tensor::basis(4, 1);
+    for i in 0..a.numel() {
+        let mut memo = QrMemo::new();
+        memo.preimage(&a, &e, 1e-8);
+        let mut moved = a.clone();
+        let x = &mut moved.as_mut_slice()[i];
+        *x = f64::from_bits(x.to_bits() + 1);
+        assert!(!memo.holds(&moved), "entry {i}: one ulp apart, still a hit");
+        let got = memo.preimage(&moved, &e, 1e-8);
+        assert!(same_bits(&got, &preimage(&moved, &e, 1e-8)), "entry {i}");
+        assert!(
+            memo.holds(&moved) && !memo.holds(&a),
+            "entry {i}: two entries"
+        );
+    }
+    // Alternating matrices evict each other; a cleared memo holds nothing.
+    let b = rng.normal_tensor([4, 7]);
+    let mut memo = QrMemo::new();
+    for m in [&a, &b, &a] {
+        memo.preimage(m, &e, 1e-8);
+        assert!(memo.holds(m));
+        assert_eq!(memo.holds(&a), std::ptr::eq(m, &a));
+    }
+    memo.clear();
+    assert!(!memo.holds(&a) && !memo.holds(&b));
 }
