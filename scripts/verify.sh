@@ -85,6 +85,12 @@ cargo run -p relock-bench --release --bin campaign_soak -- 8 4 256
 echo "==> dist soak (multi-process attack bench)"
 cargo run -p relock-bench --release --bin dist_soak -- 4 16 42 43
 
+# The key-recovery benchmark is a package of its own, outside the
+# workspace, so `cargo test --workspace` above never runs its tests.
+# ci-job: keybench
+echo "==> keybench tests"
+cargo test --release --manifest-path keybench/Cargo.toml
+
 # Lock-variant × attack matrix: the differential conformance suite
 # (decrypt cells across thread counts, sampling/oracle-less cells under
 # seed replay, trigger property sweep) plus the measured 4×3 grid. The
