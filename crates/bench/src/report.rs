@@ -21,7 +21,6 @@
 
 use crate::{attack_config, bench_threads, prepare, Arch, Scale};
 use relock_attack::{AttackState, CheckpointPolicy, DecryptionReport, Decryptor};
-use relock_dist::{DistCoordinator, DistOptions};
 use relock_locking::CountingOracle;
 use relock_serve::{Broker, BrokerConfig, ChaosConfig, ChaosCrash, ChaosOracle};
 use relock_tensor::rng::Prng;
@@ -74,8 +73,9 @@ pub struct BenchEntry {
     /// concurrent interleaving, so `diff` reports changes as notes, never
     /// failures.
     pub evictions: Option<u64>,
-    /// Worker *processes* used by a distributed-attack measurement
-    /// (absent for in-process benchmarks).
+    /// Worker *processes* used by a distributed-attack measurement. No
+    /// current benchmark sets it (the multi-process executor is gone);
+    /// kept so schema-v6 documents still parse and diff.
     pub workers: Option<u64>,
     /// Resolved gemm-backend name a kernel-pinned benchmark ran on
     /// (`scalar`, `simd-avx`, `simd-portable`); absent for benchmarks
@@ -577,10 +577,9 @@ fn time_sharded(
     (samples, last.expect("reps >= 1"))
 }
 
-/// Sequential vs 4-thread vs 4-process MLP-32 attack against the
-/// fixed-latency oracle — the parallel and distributed sections. The
-/// sharded engine and the dist coordinator are bit-identical by
-/// contract, so keys and query counts are asserted equal before the
+/// Sequential vs 4-thread MLP-32 attack against the fixed-latency
+/// oracle — the parallel section. The sharded engine is bit-identical
+/// by contract, so keys and query counts are asserted equal before the
 /// timings are reported. The adaptive pair runs the same workload with
 /// the online controller on (DESIGN.md §3i): still bit-identical across
 /// thread counts, still exact, and never more queries than the static
@@ -643,73 +642,7 @@ fn mlp32_entries(reps: usize) -> Vec<BenchEntry> {
             adapt_par_samples,
             adapt_par.queries,
         ),
-        dist_mlp32_entry(&p, &seq, reps),
     ]
-}
-
-/// 4-worker-*process* MLP-32 attack against the same fixed-latency
-/// oracle, through the `relock-dist` supervised coordinator (DESIGN.md
-/// §4b). Worker processes are this bench binary re-invoked in its hidden
-/// `dist-worker` mode (see [`crate::dist_worker_command`]); all oracle
-/// traffic is proxied back to this process's broker, so the result must
-/// be bit-identical to the sequential reference.
-fn dist_mlp32_entry(p: &crate::Prepared, seq: &DecryptionReport, reps: usize) -> BenchEntry {
-    const WORKERS: usize = 4;
-    let mut cfg = attack_config(Arch::Mlp, Scale::Fast);
-    cfg.threads = 1;
-    let decryptor = Decryptor::new(cfg);
-    let g = p.model.white_box();
-    let oracle = ChaosOracle::new(
-        CountingOracle::new(&p.model),
-        ChaosConfig {
-            seed: 1,
-            latency_spike_rate: 1.0,
-            latency_spike: ORACLE_LATENCY,
-            ..ChaosConfig::default()
-        },
-    );
-    let model_path =
-        std::env::temp_dir().join(format!("relock-dist-bench-{}.rlk", std::process::id()));
-    let mut w = std::io::BufWriter::new(
-        std::fs::File::create(&model_path).expect("create bench model file"),
-    );
-    p.model.save(&mut w).expect("save bench model");
-    drop(w);
-    let (program, worker_args) = crate::dist_worker_command();
-    let mut samples = Vec::with_capacity(reps);
-    let mut last: Option<DecryptionReport> = None;
-    for _ in 0..reps {
-        let mut opts = DistOptions::new(&program);
-        opts.workers = WORKERS;
-        opts.worker_args = worker_args.clone();
-        let coord = DistCoordinator::new(&model_path, opts).expect("bind coordinator socket");
-        let broker = Broker::with_config(&oracle, BrokerConfig::default());
-        let t = Instant::now();
-        let report = decryptor
-            .run_brokered_with(g, &broker, &mut Prng::seed_from_u64(43), &coord)
-            .expect("attack run");
-        samples.push(t.elapsed().as_secs_f64() * 1e3);
-        let d = coord.report();
-        assert_eq!(
-            d.fell_back, None,
-            "clean bench run must not fall back: {d:?}"
-        );
-        last = Some(report);
-    }
-    let _ = std::fs::remove_file(&model_path);
-    let dist = last.expect("reps >= 1");
-    assert_eq!(dist.key, seq.key, "distributed run must stay bit-identical");
-    assert_eq!(dist.queries, seq.queries);
-    BenchEntry {
-        workers: Some(WORKERS as u64),
-        ..entry(
-            "dist_mlp32_workers4",
-            "ms",
-            samples,
-            Some(dist.queries),
-            None,
-        )
-    }
 }
 
 /// Kill-and-resume soak (the soak bin's workload, MLP-12, 3 scheduled

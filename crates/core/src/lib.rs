@@ -83,12 +83,9 @@ pub use correct::{correction_candidates, correction_plan};
 pub use critical::{
     search_critical_point, search_target_critical_point, CriticalPoint, TargetScalar,
 };
-pub use decrypt::{
-    DecryptionReport, Decryptor, LayerReport, LocalExecutor, PausedSession, PhaseExecutor,
-    SessionOutcome,
-};
+pub use decrypt::{DecryptionReport, Decryptor, LayerReport, PausedSession, SessionOutcome};
 pub use error::AttackError;
-pub use infer::{key_bit_inference, key_bit_inference_with, InferredBits};
+pub use infer::{infer_layer, key_bit_inference, key_bit_inference_with, InferredBits};
 pub use learning::{
     learning_attack, multipliers_from_pairs, multipliers_to_pairs, round_to_bits,
     LearnedMultipliers,

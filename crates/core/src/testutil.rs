@@ -1,14 +1,13 @@
 //! Shared conformance-test harness.
 //!
-//! The differential suites — `parallel_equiv` (thread sweep),
-//! `dist_equiv` (worker-process sweep), and `variant_matrix` (lock-variant
-//! × attack matrix) — all compare complete attack runs on the same
-//! observables: recovered key, underlying query count, broker accounting,
-//! and every checkpoint frame byte-for-byte with wall-clock fields zeroed.
-//! This module is their single source of victims, sinks, normalizers, and
-//! assertions; it is compiled into the library so downstream crates'
-//! integration tests (relock-dist, relock-campaign) reuse it instead of
-//! copy-pasting.
+//! The differential suites — `parallel_equiv` (thread sweep) and
+//! `variant_matrix` (lock-variant × attack matrix) — all compare complete
+//! attack runs on the same observables: recovered key, underlying query
+//! count, broker accounting, and every checkpoint frame byte-for-byte with
+//! wall-clock fields zeroed. This module is their single source of
+//! victims, sinks, normalizers, and assertions; it is compiled into the
+//! library so downstream crates' integration tests (relock-campaign) reuse
+//! it instead of copy-pasting.
 //!
 //! Not part of the public API — hidden from docs and exempt from semver.
 
@@ -20,8 +19,6 @@ use relock_nn::{build_lenet, build_mlp, LenetSpec, MlpSpec};
 use relock_serve::{Broker, BrokerConfig, QueryStatsSnapshot};
 use relock_tensor::rng::Prng;
 use std::io;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -220,33 +217,5 @@ pub fn assert_chaos_traces_match(t: &RunTrace, reference: &RunTrace, ctx: &str) 
             normalize_frame_no_stats(r),
             "{ctx}: checkpoint frame {i} diverged beyond broker stats"
         );
-    }
-}
-
-/// Saves a victim where worker processes can load it; deleted on drop
-/// even when an assertion unwinds.
-pub struct ModelFile {
-    /// Path of the serialized model.
-    pub path: PathBuf,
-}
-
-impl ModelFile {
-    /// Serializes `model` to a unique file under the system temp dir.
-    pub fn save(model: &LockedModel) -> ModelFile {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "relock-dist-test-{}-{}.model",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut f = std::fs::File::create(&path).expect("create model file");
-        model.save(&mut f).expect("save model");
-        ModelFile { path }
-    }
-}
-
-impl Drop for ModelFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
     }
 }

@@ -35,34 +35,42 @@ pub struct ValidationTarget {
     pub units: Vec<(usize, Option<KeySlot>)>,
 }
 
-/// Second difference `‖O(x+δu) + O(x−δu) − 2·O(x)‖∞` at step `delta`.
+/// Second difference `‖O(x+δu) + O(x−δu) − 2·O(x)‖∞` at step `delta`,
+/// and the scale `max(‖O(x)‖∞, 1)` it is judged against.
 ///
-/// The two probe points go out as **one** 2-row batch: through a broker
-/// that is one request (one budget reservation, one dispatch) instead of
-/// two, and the symmetric rows land in the same cache generation.
+/// The probe points go out as **one** batch: through a broker that is one
+/// request (one budget reservation, one dispatch), and the symmetric rows
+/// land in the same cache generation. While `o0` does not yet hold `O(x)`,
+/// `x` rides along as the batch's first row and its answer is kept in
+/// `o0`, so a witness's first probe is a single 3-row round trip.
 fn second_difference(
     oracle: &dyn Oracle,
-    o0: &Tensor,
+    o0: &mut Option<Tensor>,
     x: &Tensor,
     u: &Tensor,
     delta: f64,
-) -> Result<f64, OracleError> {
+) -> Result<(f64, f64), OracleError> {
     let p = x.numel();
     let mut xp = x.clone();
     xp.axpy(delta, u);
     let mut xm = x.clone();
     xm.axpy(-delta, u);
-    let mut probes = Vec::with_capacity(2 * p);
+    let mut probes = Vec::with_capacity(3 * p);
+    if o0.is_none() {
+        probes.extend_from_slice(x.as_slice());
+    }
     probes.extend_from_slice(xp.as_slice());
     probes.extend_from_slice(xm.as_slice());
-    let out = oracle.try_query_batch(&Tensor::from_vec(probes, [2, p]))?;
-    let (op, om) = (out.row(0), out.row(1));
+    let rows = probes.len() / p;
+    let out = oracle.try_query_batch(&Tensor::from_vec(probes, [rows, p]))?;
+    let base = o0.get_or_insert_with(|| Tensor::from_slice(out.row(0)));
+    let (op, om) = (out.row(rows - 2), out.row(rows - 1));
     let mut max_c = 0.0f64;
-    for i in 0..o0.numel() {
-        let c = op[i] + om[i] - 2.0 * o0.as_slice()[i];
+    for i in 0..base.numel() {
+        let c = op[i] + om[i] - 2.0 * base.as_slice()[i];
         max_c = max_c.max(c.abs());
     }
-    Ok(max_c)
+    Ok((max_c, base.norm_inf().max(1.0)))
 }
 
 /// White-box second difference along `u` — used to decide whether a
@@ -155,16 +163,11 @@ fn probe_witness(
             continue;
         }
         informative = true;
-        if o0.is_none() {
-            o0 = Some(oracle.try_query(x)?);
-        }
-        let base = o0.as_ref().expect("just queried");
-        let scale = base.norm_inf().max(1.0);
-        let c_full = second_difference(oracle, base, x, &u, cfg.probe_delta)?;
+        let (c_full, scale) = second_difference(oracle, &mut o0, x, &u, cfg.probe_delta)?;
         if c_full / scale < cfg.kink_tol {
             continue;
         }
-        let c_half = second_difference(oracle, base, x, &u, 0.5 * cfg.probe_delta)?;
+        let (c_half, _) = second_difference(oracle, &mut o0, x, &u, 0.5 * cfg.probe_delta)?;
         if c_half >= 0.4 * c_full {
             return Ok(WitnessVerdict::Confirmed);
         }
@@ -435,20 +438,7 @@ pub fn key_vector_validation_checked_with(
                 return Ok(ValidationVerdict::Pass);
             }
             if informative - confirmed >= fail_at {
-                if std::env::var("RELOCK_DEBUG").is_ok() {
-                    eprintln!(
-                        "[validate] surface={} early-fail informative={informative} confirmed={confirmed}",
-                        t.surface_node
-                    );
-                }
                 return Ok(ValidationVerdict::Fail);
-            }
-            if std::env::var("RELOCK_DEBUG").is_ok() {
-                eprintln!(
-                    "[validate] surface={} candidates={} informative={informative} confirmed={confirmed}",
-                    t.surface_node,
-                    t.units.len()
-                );
             }
             if informative == 0 {
                 return Ok(ValidationVerdict::NoEvidence);

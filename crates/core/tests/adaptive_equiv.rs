@@ -7,10 +7,6 @@
 //! knob off, the engine must behave as if the controller did not exist —
 //! no `adapt.*` trace counters, observables byte-identical to the static
 //! reference.
-//!
-//! The worker-*process* leg of the sweep lives in
-//! `crates/dist/tests/dist_equiv.rs` (the coordinator harness is there);
-//! this suite covers the in-process engine.
 
 use relock_attack::testutil::{
     assert_traces_match, mlp16_victim, run_threads, sequential_run, strip_clock, RecordingSink,
