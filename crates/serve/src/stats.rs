@@ -83,8 +83,10 @@ impl QueryStats {
 
     /// Records one batch: `requested` rows asked for, of which `hits` came
     /// from cache and `underlying` were issued to the oracle (deduplicated
-    /// rows account for the difference), taking `oracle_time` of backend
-    /// wall clock.
+    /// rows account for the difference), taking `oracle_time` of wall
+    /// clock. The broker passes the whole batch's wall clock — cache
+    /// lookup, budgeting, retries and dispatch — not only the time inside
+    /// the backend.
     pub fn record_batch(&self, requested: u64, hits: u64, underlying: u64, oracle_time: Duration) {
         self.requested.fetch_add(requested, Ordering::Relaxed);
         self.cache_hits.fetch_add(hits, Ordering::Relaxed);
@@ -179,7 +181,9 @@ pub struct QueryStatsSnapshot {
     /// Faults deliberately injected by a chaos harness (see
     /// `ChaosOracle`); 0 outside fault-injection runs.
     pub injected_faults: u64,
-    /// Wall clock spent inside the underlying oracle.
+    /// Wall clock of the broker's batches, summed: everything from cache
+    /// lookup to reassembly, backend calls and retries included. It
+    /// contains, and so overstates, the time inside the underlying oracle.
     pub oracle_time: Duration,
     /// Batch-size histogram (`1, 2–3, 4–7, …, ≥128` requested rows).
     pub histogram: [u64; HISTOGRAM_BUCKETS],
