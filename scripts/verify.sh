@@ -76,15 +76,6 @@ cargo run -p relock-bench --release --bin soak -- mlp 12 42 43 3
 echo "==> campaign soak (multi-tenant daemon bench)"
 cargo run -p relock-bench --release --bin campaign_soak -- 8 4 256
 
-# Distributed soak: the multi-process attack (4 worker processes over a
-# Unix socket) under process-level chaos — SIGKILL mid-wave, a stalled
-# heartbeat, a truncated frame — must recover a key and query count
-# bit-identical to the in-process reference, without tripping the
-# circuit breaker.
-# ci-job: dist-soak
-echo "==> dist soak (multi-process attack bench)"
-cargo run -p relock-bench --release --bin dist_soak -- 4 16 42 43
-
 # The key-recovery benchmark is a package of its own, outside the
 # workspace, so `cargo test --workspace` above never runs its tests.
 # ci-job: keybench
