@@ -5,7 +5,7 @@
 //!                [--variant sign|scale:<f>|sar|antisat] [--precision f64|f32]
 //! relock inspect victim.rlk
 //! relock attack  victim.rlk [--monolithic] [--seed N] [--fast] [--budget N]
-//!                [--threads N] [--adaptive]
+//!                [--threads N]
 //!                [--trace events.jsonl] [--stats-json stats.json]
 //!                [--variant sign|scale:<f>|sar|antisat]
 //!                [--precision f64|f32] [--backend scalar|simd|simd-portable]
@@ -13,7 +13,7 @@
 //! relock serve   [--listen tcp:127.0.0.1:7433] [--workers N] [--cache-mb N]
 //!                [--max-campaigns N]
 //! relock submit  victim.rlk [--listen A] [--tenant T] [--seed N] [--weight N]
-//!                [--budget N] [--threads N] [--full] [--monolithic] [--adaptive]
+//!                [--budget N] [--threads N] [--full] [--monolithic]
 //!                [--variant sign|scale:<f>|sar|antisat]
 //! relock status  [id] [--listen A]
 //! relock pause   <id> [--listen A]     relock resume <id> [--listen A]
@@ -59,7 +59,7 @@ const DEFAULT_LISTEN: &str = "tcp:127.0.0.1:7433";
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>] [--precision <f64|f32>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--adaptive] [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n                 [--precision <f64|f32>] [--backend <scalar|simd|simd-portable>]\n                 [--checkpoint <file> [--checkpoint-every <rows>] [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--threads <n>] [--full] [--monolithic] [--adaptive]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --adaptive tunes wave width and dispatch sharding online (bit-identical; DESIGN.md \u{a7}3i)\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --checkpoint"
+        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>] [--precision <f64|f32>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n                 [--precision <f64|f32>] [--backend <scalar|simd|simd-portable>]\n                 [--checkpoint <file> [--checkpoint-every <rows>] [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--threads <n>] [--full] [--monolithic]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --checkpoint"
     );
     ExitCode::from(2)
 }
@@ -395,7 +395,6 @@ fn run_attack(args: &Args) -> Result<(), String> {
     // core of the decryption attack always runs f64.
     cfg.learning.precision = precision;
     cfg.variant = variant_flag(args)?;
-    cfg.adaptive = args.flag("adaptive").is_some();
     let threads = args.u64_value("threads", cfg.threads as u64)? as usize;
     if threads == 0 {
         return Err("--threads expects a count >= 1".into());
@@ -603,7 +602,6 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         fast: args.flag("full").is_none(),
         monolithic: args.flag("monolithic").is_some(),
         variant: variant_flag(args)?.to_string(),
-        adaptive: args.flag("adaptive").is_some(),
         checkpoint: None,
     })?;
     let id = response.get("id").and_then(Value::as_u64).unwrap_or(0);
