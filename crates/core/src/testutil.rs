@@ -14,11 +14,13 @@
 use crate::checkpoint::{AttackState, CheckpointPolicy, CheckpointSink};
 use crate::config::AttackConfig;
 use crate::decrypt::{DecryptionReport, Decryptor};
-use relock_locking::{CountingOracle, LockSpec, LockVariant, LockedModel};
+use relock_locking::{CountingOracle, LockSpec, LockVariant, LockedModel, Oracle, OracleError};
 use relock_nn::{build_lenet, build_mlp, LenetSpec, MlpSpec};
 use relock_serve::{Broker, BrokerConfig, QueryStatsSnapshot};
 use relock_tensor::rng::Prng;
+use relock_tensor::Tensor;
 use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -26,6 +28,22 @@ use std::time::Duration;
 /// suites (seed 700).
 pub fn mlp16_victim() -> LockedModel {
     variant_victim(LockVariant::Sign, 16, 700)
+}
+
+/// The untrained 48 → 32 → 16 → 10 MLP with 32 key bits of the pinned
+/// and batching suites (seed 1200).
+pub fn mlp48_victim() -> LockedModel {
+    let mut rng = Prng::seed_from_u64(1200);
+    build_mlp(
+        &MlpSpec {
+            input: 48,
+            hidden: vec![32, 16],
+            classes: 10,
+        },
+        LockSpec::evenly(32),
+        &mut rng,
+    )
+    .expect("spec fits")
 }
 
 /// The small LeNet victim used across the equivalence suites (seed 510).
@@ -62,6 +80,75 @@ pub fn variant_victim(variant: LockVariant, bits: usize, seed: u64) -> LockedMod
         &mut rng,
     )
     .unwrap()
+}
+
+/// An oracle that counts requests and records every requested row (as bit
+/// patterns); optionally it fails every request, like a spent budget.
+/// The batching suites compare the rows two paths ask for.
+pub struct RecordingOracle {
+    inner: CountingOracle,
+    calls: AtomicU64,
+    rows: Mutex<Vec<Vec<u64>>>,
+    fail: bool,
+}
+
+impl RecordingOracle {
+    /// Records requests to `model`; with `fail`, refuses every one.
+    pub fn new(model: &LockedModel, fail: bool) -> Self {
+        RecordingOracle {
+            inner: CountingOracle::new(model),
+            calls: AtomicU64::new(0),
+            rows: Mutex::new(Vec::new()),
+            fail,
+        }
+    }
+
+    /// Requests received so far, failed ones included.
+    pub fn calls(&self) -> u64 {
+        self.calls.load(Ordering::Relaxed)
+    }
+
+    /// The requested rows, sorted: the multiset, independent of order.
+    pub fn sorted_rows(&self) -> Vec<Vec<u64>> {
+        let mut rows = self.rows.lock().expect("rows poisoned").clone();
+        rows.sort_unstable();
+        rows
+    }
+}
+
+impl Oracle for RecordingOracle {
+    fn query_batch(&self, x: &Tensor) -> Tensor {
+        self.try_query_batch(x).expect("recording oracle failed")
+    }
+
+    fn try_query_batch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        if self.fail {
+            return Err(OracleError::BudgetExhausted {
+                spent: 0,
+                budget: 0,
+                requested: x.dims()[0] as u64,
+            });
+        }
+        let mut rows = self.rows.lock().expect("rows poisoned");
+        for r in 0..x.dims()[0] {
+            rows.push(x.row(r).iter().map(|v| v.to_bits()).collect());
+        }
+        drop(rows);
+        self.inner.try_query_batch(x)
+    }
+
+    fn query_count(&self) -> u64 {
+        self.inner.query_count()
+    }
+
+    fn input_dim(&self) -> usize {
+        self.inner.input_dim()
+    }
+
+    fn output_dim(&self) -> usize {
+        self.inner.output_dim()
+    }
 }
 
 /// A sink that records *every* frame the engine persists, not just the

@@ -6,96 +6,11 @@
 //! same PRNG streams, send the same multiset of rows, and make at most
 //! `max_site_attempts` requests per layer — at every thread count.
 
-use relock_attack::testutil::lenet_victim;
+use relock_attack::testutil::{lenet_victim, mlp48_victim, RecordingOracle};
 use relock_attack::{infer_layer, key_bit_inference_with, AttackConfig, InferredBits};
 use relock_graph::{LockSite, Workspace, WorkspacePool};
-use relock_locking::{CountingOracle, LockSpec, LockedModel, Oracle, OracleError};
-use relock_nn::{build_mlp, MlpSpec};
+use relock_locking::LockedModel;
 use relock_tensor::rng::Prng;
-use relock_tensor::Tensor;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Counts requests and records every requested row (as bit patterns);
-/// optionally fails every request, like a spent budget.
-struct RecordingOracle {
-    inner: CountingOracle,
-    calls: AtomicU64,
-    rows: Mutex<Vec<Vec<u64>>>,
-    fail: bool,
-}
-
-impl RecordingOracle {
-    fn new(model: &LockedModel, fail: bool) -> Self {
-        RecordingOracle {
-            inner: CountingOracle::new(model),
-            calls: AtomicU64::new(0),
-            rows: Mutex::new(Vec::new()),
-            fail,
-        }
-    }
-
-    fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// The requested rows, sorted: the multiset, independent of order.
-    fn sorted_rows(&self) -> Vec<Vec<u64>> {
-        let mut rows = self.rows.lock().unwrap().clone();
-        rows.sort_unstable();
-        rows
-    }
-}
-
-impl Oracle for RecordingOracle {
-    fn query_batch(&self, x: &Tensor) -> Tensor {
-        self.try_query_batch(x).expect("recording oracle failed")
-    }
-
-    fn try_query_batch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        if self.fail {
-            return Err(OracleError::BudgetExhausted {
-                spent: 0,
-                budget: 0,
-                requested: x.dims()[0] as u64,
-            });
-        }
-        let mut rows = self.rows.lock().unwrap();
-        for r in 0..x.dims()[0] {
-            rows.push(x.row(r).iter().map(|v| v.to_bits()).collect());
-        }
-        drop(rows);
-        self.inner.try_query_batch(x)
-    }
-
-    fn query_count(&self) -> u64 {
-        self.inner.query_count()
-    }
-
-    fn input_dim(&self) -> usize {
-        self.inner.input_dim()
-    }
-
-    fn output_dim(&self) -> usize {
-        self.inner.output_dim()
-    }
-}
-
-/// The 48 → 32 → 16 → 10 MLP with 32 key bits of the pinned suite.
-fn mlp48_victim() -> LockedModel {
-    let mut rng = Prng::seed_from_u64(1200);
-    build_mlp(
-        &MlpSpec {
-            input: 48,
-            hidden: vec![32, 16],
-            classes: 10,
-        },
-        LockSpec::evenly(32),
-        &mut rng,
-    )
-    .expect("spec fits")
-}
 
 /// Lock sites grouped by keyed node, in processing order.
 fn layers(model: &LockedModel) -> Vec<Vec<LockSite>> {
