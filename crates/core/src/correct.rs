@@ -89,6 +89,49 @@ pub fn correction_plan(
     candidates
 }
 
+/// Layers of at most this many bits are searched to the end: once their
+/// plan is spent, [`exhaustive_tail`] enumerates every flip set it left
+/// out (at most `2^12 − 1` candidates in all).
+pub const EXHAUSTIVE_BITS: usize = 12;
+
+/// Every non-empty flip set of `confidences.len()` bits that `plan` does
+/// not already hold, by increasing Hamming distance and, within a
+/// distance, increasing total confidence. Appended to a plan it makes the
+/// search exhaustive, the paper's Theorem 4 bound of `2^|K_i|` rounds;
+/// the plan's own order, and so every search it already decides, is left
+/// unchanged.
+///
+/// ```
+/// let c = [0.9, 0.1, 0.5, 0.3];
+/// // Single flips, then the complement and its 1-neighbourhood.
+/// let plan = relock_attack::correction_plan(&c, 4, 1, 10);
+/// let tail = relock_attack::exhaustive_tail(&plan, &c);
+/// assert_eq!(tail.len(), 6); // the pairs the plan left out
+/// assert_eq!(tail[0], vec![1, 3]); // least confident pair first
+/// ```
+pub fn exhaustive_tail(plan: &[Vec<usize>], confidences: &[f64]) -> Vec<Vec<usize>> {
+    let n = confidences.len();
+    assert!(n <= EXHAUSTIVE_BITS, "{n} bits is too many to enumerate");
+    let mask = |set: &[usize]| set.iter().fold(0u32, |m, &i| m | 1 << i);
+    let mut seen = vec![false; 1 << n];
+    for set in plan {
+        seen[mask(set) as usize] = true;
+    }
+    let mut tail: Vec<Vec<usize>> = (1..1u32 << n)
+        .filter(|&m| !seen[m as usize])
+        .map(|m| (0..n).filter(|&i| m >> i & 1 == 1).collect())
+        .collect();
+    let cost = |set: &Vec<usize>| set.iter().map(|&i| confidences[i]).sum::<f64>();
+    tail.sort_by(|a, b| {
+        a.len().cmp(&b.len()).then_with(|| {
+            cost(a)
+                .partial_cmp(&cost(b))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+    });
+    tail
+}
+
 fn combinations(pool: &[usize], k: usize, prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
     if k == 0 {
         out.push(prefix.clone());
@@ -170,6 +213,22 @@ mod tests {
         assert_eq!(plan[3], vec![0, 1, 2]);
         assert_eq!(plan[4], vec![1, 2]); // complement minus bit 0
         assert!(plan.len() > 6);
+    }
+
+    #[test]
+    fn plan_and_tail_enumerate_every_flip_set_once() {
+        let c = [0.3, 0.9, 0.1, 0.5, 0.2, 0.7];
+        let mut plan = correction_plan(&c, 4, 2, 5);
+        plan.extend(exhaustive_tail(&plan, &c));
+        let sets: std::collections::HashSet<Vec<usize>> = plan
+            .iter()
+            .map(|v| {
+                let mut s = v.clone();
+                s.sort_unstable();
+                s
+            })
+            .collect();
+        assert_eq!(sets.len(), (1 << c.len()) - 1);
     }
 
     #[test]
